@@ -135,9 +135,13 @@ void Archive::merge_from(const Archive& other) {
   tool_versions.erase(
       std::unique(tool_versions.begin(), tool_versions.end()),
       tool_versions.end());
+  // Both row sets are canonically sorted (builders normalize, parse_archive
+  // rejects anything else), so one linear merge keeps the total order.
+  const auto mid = static_cast<std::ptrdiff_t>(connections.size());
   connections.insert(connections.end(), other.connections.begin(),
                      other.connections.end());
-  std::sort(connections.begin(), connections.end());
+  std::inplace_merge(connections.begin(), connections.begin() + mid,
+                     connections.end());
   // Merge sketch groups by key; both sides are sorted, the result stays so.
   std::vector<SketchGroup> merged;
   merged.reserve(sketches.size() + other.sketches.size());
@@ -219,6 +223,17 @@ Result<Archive> parse_archive(std::span<const std::uint8_t> bytes) {
   if (!r.ok()) return Err<Archive>("truncated or corrupt .tdagg archive");
   if (r.remaining() != 0) {
     return Err<Archive>("trailing bytes after .tdagg payload");
+  }
+  // Merge relies on the canonical order every writer produces: rows sorted,
+  // sketch keys strictly increasing (one group per key).
+  if (!std::is_sorted(a.connections.begin(), a.connections.end())) {
+    return Err<Archive>(".tdagg connection rows out of canonical order");
+  }
+  if (std::adjacent_find(a.sketches.begin(), a.sketches.end(),
+                         [](const SketchGroup& x, const SketchGroup& y) {
+                           return !(x.key < y.key);
+                         }) != a.sketches.end()) {
+    return Err<Archive>(".tdagg sketch keys not strictly increasing");
   }
   return a;
 }

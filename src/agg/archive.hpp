@@ -4,10 +4,10 @@
 // one archive; `tdat aggregate` merges N of them losslessly.
 //
 // Merge semantics (DESIGN.md §13):
-//  - connection rows are a multiset; merge is union followed by a canonical
-//    total-order sort, so merge(a, b) and merge(b, a) serialize to identical
-//    bytes and merging shard archives equals the single-run archive over the
-//    same packets;
+//  - connection rows are a multiset kept in a canonical total order; merge
+//    is a linear merge of the two sorted row sets, so merge(a, b) and
+//    merge(b, a) serialize to identical bytes and merging shard archives
+//    equals the single-run archive over the same packets;
 //  - percentile sketches (agg/sketch.hpp) merge by element-wise addition,
 //    keyed by (run, collector, peer, AS);
 //  - ingest/quarantine diagnostics are sums.
@@ -114,7 +114,8 @@ struct Archive {
 
   // Folds `other` in. Associative, commutative, and `Archive{}` is the
   // identity: merge_from on the serialized level is a pure function of the
-  // multiset of inputs.
+  // multiset of inputs. Both sides must be in canonical order (built,
+  // normalized, or parsed — parse_archive rejects anything else).
   void merge_from(const Archive& other);
 
   [[nodiscard]] std::string serialize() const;

@@ -22,12 +22,6 @@ Micros wall_now() {
       .count();
 }
 
-std::size_t effective_jobs(std::size_t requested, std::size_t connections) {
-  std::size_t jobs = requested == 0 ? default_jobs() : requested;
-  if (connections > 0 && jobs > connections) jobs = connections;
-  return jobs > 0 ? jobs : 1;
-}
-
 // The analysis stage shared by every ingest path. Connections are handed to
 // workers by index and each result is written into its pre-sized slot, so
 // ordering and content never depend on the job count or scheduling.
@@ -44,30 +38,7 @@ void run_analysis_stage(TraceAnalysis& out, const AnalyzerOptions& opts) {
   out.results.clear();
   out.results.resize(out.connections.size());
   parallel_for(out.connections.size(), jobs, [&](std::size_t i) {
-    // One scratch per worker thread, warm across tasks and across runs: the
-    // whole per-connection working set (classifier tables, series buffers,
-    // range-set algebra, reassembly, MCT prefix table) is recycled, so the
-    // stage's steady state performs no cross-core allocator traffic.
-    thread_local AnalysisScratch scratch;
-    // A pathological connection must not take the run down (an uncaught
-    // exception on a pool thread would terminate the process): it is
-    // quarantined in place and the stage moves on. Deep allocation failures
-    // (bad_alloc / length_error from absurd reconstructed streams) are the
-    // realistic throwers; contract violations still abort via TDAT_EXPECTS.
-    try {
-      analyze_connection(out.connections[i], opts, scratch, out.results[i]);
-    } catch (const std::exception& e) {
-      TDAT_LOG_WARN("analyze: connection %s quarantined: %s",
-                    out.connections[i].key.to_string().c_str(), e.what());
-      out.results[i] = ConnectionAnalysis{};
-      out.results[i].key = out.connections[i].key;
-      out.results[i].quarantine_reason = "analysis failed with an exception";
-    } catch (...) {
-      out.results[i] = ConnectionAnalysis{};
-      out.results[i].key = out.connections[i].key;
-      out.results[i].quarantine_reason = "analysis failed";
-    }
-    out.results[i].conn_index = i;
+    analyze_or_quarantine(out.connections[i], i, opts, out.results[i]);
   });
   out.stats.jobs = jobs;
   out.stats.connections = out.connections.size();
@@ -146,6 +117,35 @@ AnalysisScratch::AnalysisScratch()
       done(&metrics().counter("analyze.connections_done")) {}
 
 AnalysisScratch::~AnalysisScratch() = default;
+
+void analyze_or_quarantine(const Connection& conn, std::size_t conn_index,
+                           const AnalyzerOptions& opts,
+                           ConnectionAnalysis& out) {
+  // One scratch per worker thread, warm across tasks and across runs: the
+  // whole per-connection working set (classifier tables, series buffers,
+  // range-set algebra, reassembly, MCT prefix table) is recycled, so the
+  // steady state performs no cross-core allocator traffic.
+  thread_local AnalysisScratch scratch;
+  // A pathological connection must not take the run down (an uncaught
+  // exception on a pool thread would terminate the process): it is
+  // quarantined in place and the caller moves on. Deep allocation failures
+  // (bad_alloc / length_error from absurd reconstructed streams) are the
+  // realistic throwers; contract violations still abort via TDAT_EXPECTS.
+  try {
+    analyze_connection(conn, opts, scratch, out);
+  } catch (const std::exception& e) {
+    TDAT_LOG_WARN("analyze: connection %s quarantined: %s",
+                  conn.key.to_string().c_str(), e.what());
+    out = ConnectionAnalysis{};
+    out.key = conn.key;
+    out.quarantine_reason = "analysis failed with an exception";
+  } catch (...) {
+    out = ConnectionAnalysis{};
+    out.key = conn.key;
+    out.quarantine_reason = "analysis failed";
+  }
+  out.conn_index = conn_index;
+}
 
 namespace {
 
@@ -266,6 +266,20 @@ void analyze_connection(const Connection& conn, const AnalyzerOptions& opts,
   scratch.done->inc();
 }
 
+namespace {
+
+// The tail every entry point shares once `out` holds its demuxed
+// connections and ingest stats: the analysis stage plus the run totals.
+void analyze_ingested(TraceAnalysis& out, Micros t0,
+                      const AnalyzerOptions& opts) {
+  out.stats.ingest_wall = wall_now() - t0;
+  run_analysis_stage(out, opts);
+  out.stats.total_wall = wall_now() - t0;
+  out.stats.metrics_json = metrics().to_json();
+}
+
+}  // namespace
+
 TraceAnalysis run_pipeline(TraceSource& source, const AnalyzerOptions& opts) {
   TraceAnalysis out;
   const Micros t0 = wall_now();
@@ -281,17 +295,24 @@ TraceAnalysis run_pipeline(TraceSource& source, const AnalyzerOptions& opts) {
   out.stats.bytes_ingested = source.bytes_ingested();
   out.stats.ingest = source.diagnostics();
   source.collect_file_diagnostics(out.file_diags);
-  out.stats.ingest_wall = wall_now() - t0;
-  run_analysis_stage(out, opts);
-  out.stats.total_wall = wall_now() - t0;
-  out.stats.metrics_json = metrics().to_json();
+  analyze_ingested(out, t0, opts);
   return out;
 }
 
 TraceAnalysis analyze_packets(std::vector<DecodedPacket> packets,
                               const AnalyzerOptions& opts) {
-  PacketVectorSource source(std::move(packets));
-  return run_pipeline(source, opts);
+  TraceAnalysis out;
+  const Micros t0 = wall_now();
+  // No capture behind the packets: bytes are frame bytes, records stay 0.
+  ConnectionDemux demux;
+  out.stats.packets = packets.size();
+  for (DecodedPacket& pkt : packets) {
+    out.stats.bytes_ingested += pkt.frame.size();
+    demux.add(std::move(pkt));
+  }
+  out.connections = demux.take();
+  analyze_ingested(out, t0, opts);
+  return out;
 }
 
 TraceAnalysis analyze_trace(const PcapFile& file, const AnalyzerOptions& opts) {

@@ -5,13 +5,16 @@
 // detectors — over the transfer window.
 //
 // One pipeline, many sources: run_pipeline consumes any TraceSource
-// (core/trace_source.hpp), so the in-memory path (analyze_trace /
-// analyze_packets), the streaming path (analyze_file), and the rotated
-// multi-file path (analyze_files) are thin wrappers around the same ingest
-// loop and analysis stage. The stage runs analyze_connection per connection
-// — serially for opts.jobs == 1, on a thread pool otherwise — with results
-// written into pre-sized slots by connection index, so the output is
-// bit-identical at any job count and across every ingest path.
+// (core/trace_source.hpp) through the raw-record ingest stage
+// (core/ingest_pipeline.hpp), so the in-memory path (analyze_trace), the
+// streaming path (analyze_file), and the rotated multi-file path
+// (analyze_files) are thin wrappers around the same ingest loop and
+// analysis stage; analyze_packets hands already-decoded packets straight to
+// the demux and the same stage. The stage runs analyze_or_quarantine per
+// connection — serially for opts.jobs == 1, on a thread pool otherwise —
+// with results written into pre-sized slots by connection index, so the
+// output is bit-identical at any job count and across every ingest path.
+// The live engine (core/live.hpp) analyzes through the same function.
 #pragma once
 
 #include <string>
@@ -141,10 +144,18 @@ struct AnalysisScratch {
 void analyze_connection(const Connection& conn, const AnalyzerOptions& opts,
                         AnalysisScratch& scratch, ConnectionAnalysis& out);
 
-// The one analysis pipeline every entry point funnels into: drain the
-// source (decode + connection demux), then run the analysis stage. The
-// source fully determines the packets, so two sources yielding the same
-// packets produce bit-identical results.
+// analyze_connection under the quarantine contract every caller shares: an
+// exception from the analysis leaves `out` holding only the connection's
+// key, conn_index, and a quarantine reason instead of escaping into the
+// caller's (pool) thread. Uses a warm per-thread AnalysisScratch.
+void analyze_or_quarantine(const Connection& conn, std::size_t conn_index,
+                           const AnalyzerOptions& opts,
+                           ConnectionAnalysis& out);
+
+// The one analysis pipeline every capture-backed entry point funnels into:
+// drain the source (decode + connection demux), then run the analysis
+// stage. The source fully determines the packets, so two sources yielding
+// the same records produce bit-identical results.
 [[nodiscard]] TraceAnalysis run_pipeline(TraceSource& source,
                                          const AnalyzerOptions& opts);
 

@@ -120,19 +120,9 @@ std::vector<Connection> merge_shards(std::vector<std::vector<Connection>> per_sh
   return all;
 }
 
-IngestStageResult run_serial(TraceSource& source, const AnalyzerOptions& opts) {
+IngestStageResult run_serial(TraceSource& source) {
   IngestStageResult out;
   ConnectionDemux demux;
-  if (!source.supports_raw_records()) {
-    // Pre-decoded sources (PacketVectorSource): nothing to batch.
-    DecodedPacket pkt;
-    while (source.next(pkt)) {
-      ++out.packets;
-      demux.add(std::move(pkt));
-    }
-    out.connections = demux.take();
-    return out;
-  }
   RecordBatch b;
   b.records.resize(kIngestBatch);
   std::vector<DecodedPacket> pkts;
@@ -147,7 +137,7 @@ IngestStageResult run_serial(TraceSource& source, const AnalyzerOptions& opts) {
     b.start_index = index;
     index += n;
     const std::int64_t t0 = monotonic_micros();
-    decode_batch(b, opts.verify_checksums, scratch, pkts);
+    decode_batch(b, source.verify_checksums(), scratch, pkts);
     out.decode_busy += monotonic_micros() - t0;
     out.packets += pkts.size();
     for (DecodedPacket& pkt : pkts) demux.add(std::move(pkt));
@@ -157,8 +147,7 @@ IngestStageResult run_serial(TraceSource& source, const AnalyzerOptions& opts) {
   return out;
 }
 
-IngestStageResult run_parallel(TraceSource& source, const AnalyzerOptions& opts,
-                               std::size_t jobs) {
+IngestStageResult run_parallel(TraceSource& source, std::size_t jobs) {
   // Thread budget: this (reader) thread + decode workers + demux shards.
   // Decode is the heavy stage, so shards get ~1/4 of the budget and decode
   // the rest.
@@ -192,7 +181,7 @@ IngestStageResult run_parallel(TraceSource& source, const AnalyzerOptions& opts,
       RecordBatch b;
       while (decode_q.pop(b)) {
         const std::int64_t t0 = monotonic_micros();
-        decode_batch(b, opts.verify_checksums, scratch, pkts);
+        decode_batch(b, source.verify_checksums(), scratch, pkts);
         decode_busy.fetch_add(monotonic_micros() - t0,
                               std::memory_order_relaxed);
         packets.fetch_add(pkts.size(), std::memory_order_relaxed);
@@ -285,10 +274,8 @@ IngestStageResult run_parallel(TraceSource& source, const AnalyzerOptions& opts,
 IngestStageResult run_ingest_stage(TraceSource& source,
                                    const AnalyzerOptions& opts) {
   const std::size_t jobs = opts.jobs == 0 ? default_jobs() : opts.jobs;
-  if (jobs >= 2 && source.supports_raw_records()) {
-    return run_parallel(source, opts, jobs);
-  }
-  return run_serial(source, opts);
+  if (jobs >= 2) return run_parallel(source, jobs);
+  return run_serial(source);
 }
 
 }  // namespace tdat

@@ -1,15 +1,15 @@
 // The batched/parallel ingest stage of run_pipeline (DESIGN.md §11): drain a
 // TraceSource into demultiplexed connections as fast as the hardware allows.
 //
-// Serial shape (jobs == 1, or a source without raw-record access): pull raw
-// records in batches, run the SoA batch decoder (pcap/decode_batch.hpp), and
-// feed the flat-table demux — one thread, no queues, no atomics.
+// Serial shape (jobs == 1): pull raw records in batches, run the SoA batch
+// decoder (pcap/decode_batch.hpp), and feed the flat-table demux — one
+// thread, no queues, no atomics.
 //
-// Parallel shape (jobs > 1 on a raw-record source): the calling thread reads
-// raw-record batches and hands them to a decode-worker pool; each decoded
-// batch is split by connection-key hash into per-shard sub-batches; each
-// shard worker owns a private ConnectionDemux and applies sub-batches in
-// batch-sequence order (a resequencing buffer absorbs decode-worker races).
+// Parallel shape (jobs > 1): the calling thread reads raw-record batches
+// and hands them to a decode-worker pool; each decoded batch is split by
+// connection-key hash into per-shard sub-batches; each shard worker owns a
+// private ConnectionDemux and applies sub-batches in batch-sequence order
+// (a resequencing buffer absorbs decode-worker races).
 // Reading, decoding, and demuxing overlap across cores — this is what makes
 // --jobs scale on the ingest side rather than only in per-connection
 // analysis.
@@ -45,8 +45,8 @@ struct IngestStageResult {
   std::size_t ingest_jobs = 1;  // threads the stage actually used
 };
 
-// Drains `source` completely. opts supplies jobs (0 = default_jobs()) and
-// verify_checksums.
+// Drains `source` completely, decoding with the source's checksum setting.
+// opts supplies jobs (0 = default_jobs()).
 [[nodiscard]] IngestStageResult run_ingest_stage(TraceSource& source,
                                                  const AnalyzerOptions& opts);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <utility>
 
 #include "pcap/mmap_file.hpp"
@@ -15,12 +14,9 @@
 namespace tdat {
 namespace {
 
-// Raw records pulled from the source per inner ingest step; matches the
-// batch pipeline's decode granularity (4 decode batches).
+// Raw records pulled from the source (or a checkpoint run) per inner ingest
+// step; matches the batch pipeline's decode granularity (4 decode batches).
 constexpr std::size_t kLiveIngestBatch = 256;
-
-// On-disk pcap record header size, for rec_offset/rec_len bookkeeping.
-constexpr std::size_t kRecordHeaderLen = 16;
 
 // Packets always retained at the front of a windowed connection: the
 // handshake plus the first data packets, which anchor the RTT/MSS profile
@@ -32,12 +28,6 @@ Micros wall_now() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::size_t live_jobs(std::size_t requested, std::size_t connections) {
-  std::size_t jobs = requested == 0 ? default_jobs() : requested;
-  if (connections > 0 && jobs > connections) jobs = connections;
-  return jobs > 0 ? jobs : 1;
 }
 
 // Coalesces a connection's retained packets into capture offset runs: a run
@@ -66,25 +56,53 @@ bool append_packet_runs(const std::vector<DecodedPacket>& pkts,
 
 }  // namespace
 
+CheckpointConfig checkpoint_config(const LiveOptions& opts) {
+  CheckpointConfig c;
+  c.location = static_cast<std::uint8_t>(opts.analyzer.location);
+  c.verify_checksums = opts.analyzer.verify_checksums;
+  c.strict = opts.analyzer.ingest.strict;
+  c.enable_ack_shift = opts.analyzer.enable_ack_shift;
+  c.pass_bits = opts.analyzer.passes.bits;
+  c.max_errors = static_cast<std::uint64_t>(opts.analyzer.ingest.max_errors);
+  c.window = opts.window;
+  c.idle_gc = opts.idle_gc;
+  return c;
+}
+
 LiveEngine::LiveEngine(TraceSource& source, LiveOptions opts)
     : source_(source), opts_(opts) {}
 
-void LiveEngine::ingest_packet(DecodedPacket pkt) {
-  const Micros ts = pkt.ts;
-  const std::size_t i = demux_.add_indexed(std::move(pkt));
-  if (i >= results_.size()) {
-    results_.resize(i + 1);
-    states_.resize(i + 1);
-    ++stats_.connections_total;
+std::size_t LiveEngine::ingest_records(std::span<const StreamRecord> recs,
+                                       std::size_t first_index) {
+  std::size_t produced = 0;
+  for (std::size_t off = 0; off < recs.size();) {
+    packet_buf_.clear();
+    // The decoder stamps each packet's record position (rec_offset/rec_len),
+    // which is what lets a checkpoint name retained packets as (offset,
+    // count) runs instead of serializing their bytes.
+    off += decode_records(recs.subspan(off), first_index + off,
+                          source_.verify_checksums(), decode_scratch_,
+                          packet_buf_);
+    produced += packet_buf_.size();
+    for (DecodedPacket& pkt : packet_buf_) {
+      const Micros ts = pkt.ts;
+      const std::size_t i = demux_.add_indexed(std::move(pkt));
+      if (i >= results_.size()) {
+        results_.resize(i + 1);
+        states_.resize(i + 1);
+        ++stats_.connections_total;
+      }
+      ConnState& st = states_[i];
+      st.last_ts = ts;
+      if (ts > now_) now_ = ts;
+      if (!st.dirty) {
+        st.dirty = true;
+        dirty_.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
   }
-  ConnState& st = states_[i];
-  st.last_ts = ts;
-  if (ts > now_) now_ = ts;
-  if (!st.dirty) {
-    st.dirty = true;
-    dirty_.push_back(static_cast<std::uint32_t>(i));
-  }
-  ++stats_.packets;
+  stats_.packets += produced;
+  return produced;
 }
 
 std::size_t LiveEngine::run_epoch() {
@@ -92,42 +110,15 @@ std::size_t LiveEngine::run_epoch() {
   dirty_.clear();
   std::size_t total = 0;
   const std::size_t budget = std::max<std::size_t>(opts_.epoch_batch_records, 1);
-  if (source_.supports_raw_records()) {
-    record_buf_.resize(kLiveIngestBatch);
-    while (total < budget) {
-      const std::size_t want = std::min(kLiveIngestBatch, budget - total);
-      const std::size_t n =
-          source_.next_raw_records(std::span(record_buf_).first(want));
-      if (n == 0) break;
-      const std::span<const StreamRecord> recs(record_buf_.data(), n);
-      std::size_t off = 0;
-      while (off < recs.size()) {
-        packet_buf_.clear();
-        off += decode_records(recs.subspan(off), next_index_ + off,
-                              opts_.analyzer.verify_checksums, decode_scratch_,
-                              packet_buf_);
-        for (DecodedPacket& pkt : packet_buf_) {
-          // Remember where in the capture this packet's record lives, so a
-          // checkpoint can name retained packets as (offset, count) runs
-          // instead of serializing their bytes.
-          const StreamRecord& rec = recs[pkt.index - next_index_];
-          pkt.rec_offset = rec.file_offset;
-          pkt.rec_len =
-              static_cast<std::uint32_t>(kRecordHeaderLen + rec.data.size());
-          ingest_packet(std::move(pkt));
-        }
-      }
-      next_index_ += n;
-      total += n;
-    }
-  } else {
-    // Pre-decoded sources (tests): one record per packet.
-    DecodedPacket pkt;
-    while (total < budget && source_.next(pkt)) {
-      ingest_packet(std::move(pkt));
-      ++next_index_;
-      ++total;
-    }
+  record_buf_.resize(kLiveIngestBatch);
+  while (total < budget) {
+    const std::size_t want = std::min(kLiveIngestBatch, budget - total);
+    const std::size_t n =
+        source_.next_raw_records(std::span(record_buf_).first(want));
+    if (n == 0) break;
+    ingest_records(std::span(record_buf_).first(n), next_index_);
+    next_index_ += n;
+    total += n;
   }
   const Micros t1 = wall_now();
   ingest_wall_ += t1 - t0;
@@ -154,28 +145,12 @@ std::size_t LiveEngine::run_epoch() {
 void LiveEngine::analyze_dirty() {
   if (dirty_.empty()) return;
   std::vector<Connection>& conns = demux_.connections();
-  const std::size_t jobs = live_jobs(opts_.analyzer.jobs, dirty_.size());
+  const std::size_t jobs = effective_jobs(opts_.analyzer.jobs, dirty_.size());
   TDAT_TRACE_SPAN("live.analyze", "live", "dirty",
                   static_cast<std::int64_t>(dirty_.size()));
   parallel_for(dirty_.size(), jobs, [&](std::size_t di) {
-    thread_local AnalysisScratch scratch;
     const std::size_t i = dirty_[di];
-    // Same quarantine contract as the batch analysis stage: a connection
-    // whose analysis throws is isolated in place, never the whole daemon.
-    try {
-      analyze_connection(conns[i], opts_.analyzer, scratch, results_[i]);
-    } catch (const std::exception& e) {
-      TDAT_LOG_WARN("live: connection %s quarantined: %s",
-                    conns[i].key.to_string().c_str(), e.what());
-      results_[i] = ConnectionAnalysis{};
-      results_[i].key = conns[i].key;
-      results_[i].quarantine_reason = "analysis failed with an exception";
-    } catch (...) {
-      results_[i] = ConnectionAnalysis{};
-      results_[i].key = conns[i].key;
-      results_[i].quarantine_reason = "analysis failed";
-    }
-    results_[i].conn_index = i;
+    analyze_or_quarantine(conns[i], i, opts_.analyzer, results_[i]);
   });
   // Location inference reads the packet list, which eviction may trim later:
   // freeze the estimate while the evidence is at its freshest.
@@ -234,6 +209,15 @@ void LiveEngine::retire(std::size_t i) {
     // at least one packet at retirement, so empty means invalid.
     states_[i].retired_runs.clear();
   }
+  trim_retired(i);
+  ++stats_.connections_gc;
+  metrics().counter("live.connections_gc").inc();
+  TDAT_LOG_INFO("live: retired idle connection %s",
+                results_[i].key.to_string().c_str());
+}
+
+void LiveEngine::trim_retired(std::size_t i) {
+  Connection& conn = demux_.connections()[i];
   conn.packets.clear();
   conn.packets.shrink_to_fit();
   ConnectionAnalysis& a = results_[i];
@@ -246,9 +230,6 @@ void LiveEngine::retire(std::size_t i) {
   a.messages.shrink_to_fit();
   states_[i].retired = true;
   ++retired_;
-  ++stats_.connections_gc;
-  metrics().counter("live.connections_gc").inc();
-  TDAT_LOG_INFO("live: retired idle connection %s", a.key.to_string().c_str());
 }
 
 void LiveEngine::drain() {
@@ -288,16 +269,7 @@ std::size_t LiveEngine::retained_packets() const {
 Result<Unit> LiveEngine::checkpoint_state(LiveCheckpoint& out) const {
   out.next_index = static_cast<std::uint64_t>(next_index_);
   out.now_ts = now_;
-
-  out.config.location = static_cast<std::uint8_t>(opts_.analyzer.location);
-  out.config.verify_checksums = opts_.analyzer.verify_checksums;
-  out.config.strict = opts_.analyzer.ingest.strict;
-  out.config.enable_ack_shift = opts_.analyzer.enable_ack_shift;
-  out.config.pass_bits = opts_.analyzer.passes.bits;
-  out.config.max_errors =
-      static_cast<std::uint64_t>(opts_.analyzer.ingest.max_errors);
-  out.config.window = opts_.window;
-  out.config.idle_gc = opts_.idle_gc;
+  out.config = checkpoint_config(opts_);
 
   out.epochs = stats_.epochs;
   out.records = stats_.records;
@@ -347,8 +319,7 @@ Result<Unit> LiveEngine::restore_state(const LiveCheckpoint& ckpt,
   // post-retirement packet), so replaying whole connections in creation
   // order reproduces slot evolution, the per-connection timestamp clamp,
   // and connection indices byte for byte.
-  std::vector<StreamRecord> recs;
-  std::vector<DecodedPacket> pkts;
+  record_buf_.resize(kLiveIngestBatch);
   for (std::size_t ci = 0; ci < ckpt.conns.size(); ++ci) {
     const CheckpointConn& conn = ckpt.conns[ci];
     if (conn.runs.empty()) {
@@ -367,45 +338,22 @@ Result<Unit> LiveEngine::restore_state(const LiveCheckpoint& ckpt,
     for (const CheckpointRun& run : conn.runs) {
       std::uint64_t replayed = 0;
       while (replayed < run.count) {
-        const std::uint64_t batch =
-            std::min<std::uint64_t>(run.count - replayed, kLiveIngestBatch);
-        recs.clear();
-        for (std::uint64_t k = 0; k < batch; ++k) {
-          StreamRecord rec;
-          if (!rr.next(rec)) {
+        const std::size_t batch = static_cast<std::size_t>(
+            std::min<std::uint64_t>(run.count - replayed, kLiveIngestBatch));
+        for (std::size_t k = 0; k < batch; ++k) {
+          if (!rr.next(record_buf_[k])) {
             return Err<Unit>(rr.failed()
                                  ? "restore: " + rr.error()
                                  : "restore: run ended before its record "
                                    "count (capture changed?)");
           }
-          recs.push_back(std::move(rec));
         }
-        const std::uint64_t base_index = run.first_index + replayed;
-        std::size_t off = 0;
-        std::uint64_t produced = 0;
-        while (off < recs.size()) {
-          pkts.clear();
-          off += decode_records(
-              std::span<const StreamRecord>(recs).subspan(off),
-              static_cast<std::size_t>(base_index) + off,
-              opts_.analyzer.verify_checksums, decode_scratch_, pkts);
-          for (DecodedPacket& pkt : pkts) {
-            // Every record in a run decoded to a packet of this connection
-            // when the checkpoint was written; decode is deterministic, so
-            // anything else means the capture changed underneath.
-            if (pkt.index != base_index + produced) {
-              return Err<Unit>("restore: replay produced unexpected record "
-                               "index (capture changed?)");
-            }
-            const StreamRecord& rec = recs[pkt.index - base_index];
-            pkt.rec_offset = rec.file_offset;
-            pkt.rec_len = static_cast<std::uint32_t>(kRecordHeaderLen +
-                                                     rec.data.size());
-            ingest_packet(std::move(pkt));
-            ++produced;
-          }
-        }
-        if (produced != batch) {
+        // Every record in a run decoded to a packet of this connection when
+        // the checkpoint was written; decode is deterministic, so a record
+        // that no longer decodes means the capture changed underneath.
+        if (ingest_records(std::span(record_buf_).first(batch),
+                           static_cast<std::size_t>(run.first_index +
+                                                    replayed)) != batch) {
           return Err<Unit>("restore: replay dropped records of a "
                            "checkpointed run (capture changed?)");
         }
@@ -430,18 +378,8 @@ Result<Unit> LiveEngine::restore_state(const LiveCheckpoint& ckpt,
   analyze_dirty();
   for (std::size_t ci = 0; ci < ckpt.conns.size(); ++ci) {
     if (!ckpt.conns[ci].retired) continue;
-    Connection& conn = demux_.connections()[ci];
-    conn.packets.clear();
-    conn.packets.shrink_to_fit();
-    ConnectionAnalysis& a = results_[ci];
-    a.bundle = SeriesBundle{};
-    std::erase_if(a.messages, [](const TimedBgpMessage& msg) {
-      return msg.msg.type() != BgpType::kOpen;
-    });
-    a.messages.shrink_to_fit();
-    states_[ci].retired = true;
+    trim_retired(ci);
     states_[ci].retired_runs = ckpt.conns[ci].runs;
-    ++retired_;
   }
 
   next_index_ = static_cast<std::size_t>(ckpt.next_index);
@@ -470,7 +408,7 @@ PipelineStats LiveEngine::pipeline_stats() const {
     if (a.quarantined()) ++stats.quarantined;
   }
   stats.ingest = source_.diagnostics();
-  stats.jobs = live_jobs(opts_.analyzer.jobs, results_.size());
+  stats.jobs = effective_jobs(opts_.analyzer.jobs, results_.size());
   stats.ingest_wall = ingest_wall_;
   stats.analyze_wall = analyze_wall_;
   stats.total_wall = total_wall_;

@@ -55,6 +55,11 @@ struct LiveOptions {
   std::size_t epoch_batch_records = 4096;
 };
 
+// The checkpoint's echo of every option in `opts` that shapes results —
+// written by checkpoint_state and compared against on restore, so both
+// sides are built here.
+[[nodiscard]] CheckpointConfig checkpoint_config(const LiveOptions& opts);
+
 // Cumulative engine accounting, separate from PipelineStats so live counters
 // (GC, eviction) never leak into batch-identical outputs.
 struct LiveEngineStats {
@@ -123,11 +128,21 @@ class LiveEngine {
   [[nodiscard]] std::size_t retained_packets() const;
 
  private:
-  void ingest_packet(DecodedPacket pkt);
+  // Decodes `recs` (trace indices first_index, first_index + 1, ...) into
+  // the connection table, marking the receiving connections dirty. The one
+  // ingest step of both run_epoch and restore_state. Returns the number of
+  // packets ingested.
+  std::size_t ingest_records(std::span<const StreamRecord> recs,
+                             std::size_t first_index);
   void analyze_dirty();
   void evict_window();
   void gc_idle();
   void retire(std::size_t i);
+  // Frees what a retired connection no longer needs — packets, series, and
+  // non-OPEN messages — and marks it retired. Shared by retire() and
+  // restore_state(), so a restored retiree is trimmed exactly as the
+  // original was.
+  void trim_retired(std::size_t i);
 
   struct ConnState {
     Micros last_ts = -1;  // newest packet timestamp (pre-clamp)

@@ -7,9 +7,9 @@
 //                     final), detects rotation (new inode at the path, or
 //                     the file shrinking under the reader — copytruncate),
 //                     drains the rotated-away segment to its real end with
-//                     batch semantics, and reopens the new file with a
-//                     continuous global record index — the same ordering
-//                     contract MultiFileSource gives rotated batch inputs.
+//                     batch semantics, and reopens the new file — the same
+//                     concatenation MultiFileSource gives rotated batch
+//                     inputs.
 //   RingBufferSource  the same tail-mode streaming over an in-memory
 //                     RingBufferFeed, for tests and benches that append a
 //                     capture image in arbitrary chunks (mid-record splits
@@ -64,8 +64,6 @@ class RingBufferSource final : public TraceSource {
                             bool verify_checksums,
                             const IngestPolicy& policy = {});
 
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] bool supports_raw_records() const override { return true; }
   [[nodiscard]] std::size_t next_raw_records(
       std::span<StreamRecord> out) override;
   [[nodiscard]] std::uint64_t bytes_ingested() const override;
@@ -84,9 +82,7 @@ class RingBufferSource final : public TraceSource {
 
   std::shared_ptr<RingBufferFeed> feed_;
   IngestPolicy policy_;
-  bool verify_checksums_;
   std::optional<PcapStream> stream_;
-  std::size_t index_ = 0;
   bool draining_ = false;
   bool ended_ = false;
   bool failed_ = false;
@@ -111,8 +107,6 @@ class FollowSource final : public TraceSource {
   FollowSource(std::string path, bool verify_checksums,
                const IngestPolicy& policy, const PcapStream::Resume& resume);
 
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] bool supports_raw_records() const override { return true; }
   [[nodiscard]] std::size_t next_raw_records(
       std::span<StreamRecord> out) override;
   [[nodiscard]] std::uint64_t bytes_ingested() const override;
@@ -152,7 +146,6 @@ class FollowSource final : public TraceSource {
 
   std::string path_;
   IngestPolicy policy_;
-  bool verify_checksums_;
   std::optional<PcapStream> stream_;
   // Identity (st_dev, st_ino) of the open segment, for rotation detection.
   std::uint64_t dev_ = 0;
@@ -169,7 +162,6 @@ class FollowSource final : public TraceSource {
   std::uint64_t past_bytes_ = 0;
   std::uint64_t past_records_ = 0;
   std::vector<FileIngestDiagnostics> past_files_;
-  std::size_t index_ = 0;  // continuous global record index
   // Pending checkpoint-resume position for the first open; consumed by
   // try_open.
   std::optional<PcapStream::Resume> resume_;

@@ -96,6 +96,8 @@ struct AnalyzerOptions {
   double bw_uniformity_factor = 2.0;
   std::size_t bw_min_flight_packets = 4;
 
+  // Checksum setting the analyze_* entry points open their source with; a
+  // caller-built TraceSource carries its own (TraceSource::verify_checksums).
   bool verify_checksums = false;
 
   // Worker threads for the per-connection analysis stage. 1 = fully serial

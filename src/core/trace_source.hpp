@@ -1,31 +1,29 @@
 // The single ingest abstraction of the analysis pipeline: a TraceSource
-// yields decoded TCP packets one at a time, plus the capture-level accounting
-// (bytes, records) PipelineStats reports. run_pipeline(core/analyzer.hpp)
-// consumes any source the same way, so the in-memory PcapFile path, the
-// streaming file path, and the rotated multi-file path share one pipeline —
-// there is no per-path ingest loop left to keep bit-identical by hand.
+// serves raw pcap records in capture order, plus the capture-level
+// accounting (bytes, records) PipelineStats reports. Consumers decode the
+// records with the batch decoder (pcap/decode_batch.hpp) under the source's
+// own checksum setting, so run_pipeline (core/analyzer.hpp) and LiveEngine
+// (core/live.hpp) take any source the same way — there is no per-source
+// decode loop left to keep bit-identical by hand.
 //
-// Sources and accounting:
-//   PacketVectorSource  pre-decoded packets (analyze_packets); bytes = frame
-//                       bytes, records = 0 (no capture headers were seen).
-//   PcapFileSource      in-memory PcapFile (analyze_trace); decodes exactly
-//                       like decode_pcap (skips truncated records, packet
-//                       index = record position); bytes = 24-byte global
-//                       header + per-record 16-byte header + stored bytes,
-//                       matching PcapStream::bytes_read byte for byte.
-//   PcapStreamSource    chunked streaming file ingest (analyze_file);
-//                       zero-copy arena-backed frames.
+// Sources and accounting (bytes = 24-byte global header + per-record 16-byte
+// header + stored bytes, matching PcapStream::bytes_read byte for byte):
+//   PcapFileSource      in-memory PcapFile (analyze_trace); records carry no
+//                       file offset and are copied out by the decoder.
+//   PcapStreamSource    chunked or mmap'd streaming file ingest
+//                       (analyze_file); zero-copy arena-backed frames.
 //   MultiFileSource     rotated captures: opens every file (or every *.pcap
 //                       in a directory), orders the files by their first
-//                       record timestamp, and concatenates them with a
-//                       continuous global record index.
+//                       record timestamp, and concatenates them.
+//   OffsetRunSource     a fleet worker's planned record runs (below).
+// The live sources (FollowSource, RingBufferSource) are in
+// core/live_source.hpp.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "pcap/mmap_file.hpp"
-#include "pcap/packet.hpp"
 #include "pcap/pcap_file.hpp"
 #include "pcap/pcap_stream.hpp"
 #include "pcap/record_runs.hpp"
@@ -35,32 +33,27 @@ namespace tdat {
 
 class TraceSource {
  public:
+  explicit TraceSource(bool verify_checksums)
+      : verify_checksums_(verify_checksums) {}
   virtual ~TraceSource() = default;
 
-  // Fetches the next decoded packet. False at end of source.
-  [[nodiscard]] virtual bool next(DecodedPacket& out) = 0;
-
-  // Raw-record batch access, the input of the batched/parallel ingest stage
-  // (core/ingest_pipeline.hpp). A source returning true from
-  // supports_raw_records() serves its records undecoded through
-  // next_raw_records: fills out[0..n) in capture order and returns n (0 at
-  // end of source). The caller assigns trace indices by counting records —
-  // one per raw record, decoded or not — which reproduces next()'s index
-  // assignment exactly. Mixing next() and next_raw_records() on one source
-  // is not supported.
-  [[nodiscard]] virtual bool supports_raw_records() const { return false; }
+  // Fills out[0..n) with the next raw records in capture order and returns n
+  // (0 at end of source). Consumers assign trace indices by counting records
+  // — one per raw record, decoded or not — so every source of the same
+  // records yields the same packet indices.
   [[nodiscard]] virtual std::size_t next_raw_records(
-      std::span<StreamRecord> out) {
-    (void)out;
-    return 0;
-  }
+      std::span<StreamRecord> out) = 0;
+
+  // Whether this source's records are decoded with IPv4/TCP checksum
+  // verification (frames failing it are dropped like undecodable ones).
+  [[nodiscard]] bool verify_checksums() const { return verify_checksums_; }
 
   // Capture bytes consumed so far (headers included where the source sees
   // them) and pcap records seen (decoded or not). Stable after exhaustion.
   [[nodiscard]] virtual std::uint64_t bytes_ingested() const = 0;
   [[nodiscard]] virtual std::uint64_t records_seen() const = 0;
 
-  // What ingest dropped or skipped to produce the packets served so far
+  // What ingest dropped or skipped to produce the records served so far
   // (aggregated across files for multi-file sources); all-zero for sources
   // that cannot encounter capture corruption.
   [[nodiscard]] virtual IngestDiagnostics diagnostics() const { return {}; }
@@ -72,7 +65,7 @@ class TraceSource {
   }
 
   // ---- Live-source extension (core/live_source.hpp implements these) ----
-  // While live() is true, next()/next_raw_records() returning no records is
+  // While live() is true, next_raw_records() returning no records is
   // provisional — the capture is still being written. The caller polls
   // poll_live() (re-stat a followed file, check a feed) and retries; once
   // the input is known to be finished it calls begin_drain(), after which
@@ -82,22 +75,9 @@ class TraceSource {
   // Returns true when new input may be available for a retry.
   [[nodiscard]] virtual bool poll_live() { return false; }
   virtual void begin_drain() {}
-};
-
-// Pre-decoded packets, handed out in order. Owns the vector.
-class PacketVectorSource final : public TraceSource {
- public:
-  explicit PacketVectorSource(std::vector<DecodedPacket> packets)
-      : packets_(std::move(packets)) {}
-
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] std::uint64_t bytes_ingested() const override { return bytes_; }
-  [[nodiscard]] std::uint64_t records_seen() const override { return 0; }
 
  private:
-  std::vector<DecodedPacket> packets_;
-  std::size_t next_ = 0;
-  std::uint64_t bytes_ = 0;
+  bool verify_checksums_;
 };
 
 // In-memory PcapFile. The file must outlive the source (frames are spans
@@ -106,8 +86,6 @@ class PcapFileSource final : public TraceSource {
  public:
   PcapFileSource(const PcapFile& file, bool verify_checksums);
 
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] bool supports_raw_records() const override { return true; }
   [[nodiscard]] std::size_t next_raw_records(
       std::span<StreamRecord> out) override;
   [[nodiscard]] std::uint64_t bytes_ingested() const override { return bytes_; }
@@ -120,7 +98,6 @@ class PcapFileSource final : public TraceSource {
 
  private:
   const PcapFile* file_;
-  bool verify_checksums_;
   std::size_t next_ = 0;
   std::uint64_t bytes_ = 0;
 };
@@ -133,14 +110,9 @@ class PcapStreamSource final : public TraceSource {
       const std::string& path, bool verify_checksums,
       const IngestPolicy& policy = {});
 
-  explicit PcapStreamSource(PcapStream stream, bool verify_checksums,
-                            std::size_t first_index = 0)
-      : stream_(std::move(stream)),
-        verify_checksums_(verify_checksums),
-        index_(first_index) {}
+  PcapStreamSource(PcapStream stream, bool verify_checksums)
+      : TraceSource(verify_checksums), stream_(std::move(stream)) {}
 
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] bool supports_raw_records() const override { return true; }
   [[nodiscard]] std::size_t next_raw_records(
       std::span<StreamRecord> out) override;
   [[nodiscard]] std::uint64_t bytes_ingested() const override {
@@ -156,14 +128,9 @@ class PcapStreamSource final : public TraceSource {
       std::vector<FileIngestDiagnostics>& out) const override {
     if (!path_.empty()) out.push_back({path_, stream_.diagnostics()});
   }
-  // Global record index after the records served so far (for multi-file
-  // concatenation).
-  [[nodiscard]] std::size_t next_index() const { return index_; }
 
  private:
   PcapStream stream_;
-  bool verify_checksums_;
-  std::size_t index_;
   std::string path_;  // empty for memory-backed streams
 };
 
@@ -171,15 +138,13 @@ class PcapStreamSource final : public TraceSource {
 // directories; a directory contributes every regular file directly inside it
 // (a rotated-capture drop usually holds nothing else; name them *.pcap).
 // Files are ordered by the timestamp of their first record — rotation order —
-// then streamed back to back with a continuous global record index.
+// then streamed back to back.
 class MultiFileSource final : public TraceSource {
  public:
   [[nodiscard]] static Result<MultiFileSource> open(
       const std::vector<std::string>& inputs, bool verify_checksums,
       const IngestPolicy& policy = {});
 
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] bool supports_raw_records() const override { return true; }
   [[nodiscard]] std::size_t next_raw_records(
       std::span<StreamRecord> out) override;
   [[nodiscard]] std::uint64_t bytes_ingested() const override;
@@ -198,12 +163,11 @@ class MultiFileSource final : public TraceSource {
     bool has_pending = false;
   };
 
-  MultiFileSource() = default;
+  explicit MultiFileSource(bool verify_checksums)
+      : TraceSource(verify_checksums) {}
 
   std::vector<Part> parts_;  // ordered by first-record timestamp
   std::size_t current_ = 0;
-  std::size_t index_ = 0;    // continuous global record index
-  bool verify_checksums_ = false;
 };
 
 // Fleet-worker ingest: mmaps the capture and serves only the records named
@@ -220,8 +184,6 @@ class OffsetRunSource final : public TraceSource {
                                                     std::vector<RecordRun> runs,
                                                     bool verify_checksums);
 
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] bool supports_raw_records() const override { return true; }
   [[nodiscard]] std::size_t next_raw_records(
       std::span<StreamRecord> out) override;
   // The 24-byte global header is charged here (the plan made this worker read
@@ -239,11 +201,9 @@ class OffsetRunSource final : public TraceSource {
 
  private:
   OffsetRunSource(RecordRunReader reader, bool verify_checksums)
-      : reader_(std::move(reader)), verify_checksums_(verify_checksums) {}
+      : TraceSource(verify_checksums), reader_(std::move(reader)) {}
 
   RecordRunReader reader_;
-  bool verify_checksums_;
-  std::size_t index_ = 0;  // local indices; archives never depend on them
 };
 
 }  // namespace tdat

@@ -1,46 +1,15 @@
 #include "fleet/shard_plan.hpp"
 
 #include <array>
-#include <cstdio>
-#include <memory>
 #include <span>
-#include <utility>
 
 #include "pcap/decode_batch.hpp"
-#include "pcap/mmap_file.hpp"
 #include "pcap/pcap_stream.hpp"
 #include "tcp/connection.hpp"
 
 namespace tdat::fleet {
 
 namespace {
-
-// The whole capture as one contiguous pinned image: mmap when possible,
-// otherwise (pipes gone through a file copy, exotic filesystems) a one-shot
-// slurp into a heap buffer behind the same shared_ptr contract.
-struct CaptureImage {
-  std::shared_ptr<const void> pin;
-  std::span<const std::uint8_t> image;
-};
-
-Result<CaptureImage> load_capture_image(const std::string& path) {
-  if (auto mapped = MappedFile::map(path); mapped.ok()) {
-    return CaptureImage{mapped.value().share(), mapped.value().bytes()};
-  }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Err<CaptureImage>("fleet: cannot open " + path);
-  }
-  auto buf = std::make_shared<std::vector<std::uint8_t>>();
-  std::uint8_t chunk[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    buf->insert(buf->end(), chunk, chunk + got);
-  }
-  std::fclose(f);
-  std::span<const std::uint8_t> image(buf->data(), buf->size());
-  return CaptureImage{std::move(buf), image};
-}
 
 void add_record(ShardRuns& shard, std::uint64_t& expected_next,
                 std::uint64_t offset, std::uint64_t record_bytes) {
@@ -121,8 +90,7 @@ Result<ShardPlan> build_shard_plan(const std::string& capture,
   if (shards == 0) {
     return Err<ShardPlan>("fleet: shard count must be positive");
   }
-  TDAT_TRY(img, load_capture_image(capture));
-  TDAT_TRY(stream, PcapStream::from_image(img.pin, img.image, policy));
+  TDAT_TRY(stream, PcapStream::open_auto(capture, policy));
 
   ShardPlan plan;
   plan.capture = capture;
@@ -131,47 +99,35 @@ Result<ShardPlan> build_shard_plan(const std::string& capture,
   std::vector<std::uint64_t> expected_next(shards, 0);
 
   std::array<StreamRecord, kDecodeBatch> batch;
-  std::array<std::uint64_t, kDecodeBatch> offsets;
   DecodeScratch scratch;
   std::vector<DecodedPacket> decoded;
   std::size_t index = 0;
   for (;;) {
     std::size_t n = 0;
-    while (n < kDecodeBatch && stream.next(batch[n])) {
-      // from_image serves records zero-copy: the data span points into the
-      // image, 16 header bytes before it. That difference IS the plan.
-      offsets[n] = static_cast<std::uint64_t>(batch[n].data.data() -
-                                              img.image.data()) -
-                   16;
-      ++n;
-    }
+    while (n < kDecodeBatch && stream.next(batch[n])) ++n;
     if (n == 0) break;
-    std::size_t base = 0;
-    while (base < n) {
-      decoded.clear();
-      const std::size_t used =
-          decode_records(std::span<const StreamRecord>(batch.data() + base,
-                                                       n - base),
-                         index, verify_checksums, scratch, decoded);
-      std::size_t pkt = 0;
-      for (std::size_t lane = 0; lane < used; ++lane) {
-        // Undecodable (non-TCP / truncated) records go to shard 0 so nothing
-        // is lost — same rule as `tdat shard`.
-        std::size_t shard = 0;
-        if (pkt < decoded.size() && decoded[pkt].index == index + lane) {
-          shard = conn_key_hash(make_conn_key(decoded[pkt])) % shards;
-          ++pkt;
-          ++plan.packets;
-        }
-        add_record(plan.shards[shard], expected_next[shard],
-                   offsets[base + lane], 16 + batch[base + lane].data.size());
+    // n <= kDecodeBatch, so one call decodes every lane.
+    decode_records(std::span<const StreamRecord>(batch.data(), n), index,
+                   verify_checksums, scratch, decoded);
+    std::size_t pkt = 0;
+    for (std::size_t lane = 0; lane < n; ++lane) {
+      // Undecodable (non-TCP / truncated) records go to shard 0 so nothing
+      // is lost — same rule as `tdat shard`.
+      std::size_t shard = 0;
+      if (pkt < decoded.size() && decoded[pkt].index == index + lane) {
+        shard = conn_key_hash(make_conn_key(decoded[pkt])) % shards;
+        ++pkt;
+        ++plan.packets;
       }
-      if (used == 0) break;  // cannot happen with n > base; stay safe
-      index += used;
-      base += used;
+      // The record's file_offset and on-disk length ARE the plan.
+      add_record(plan.shards[shard], expected_next[shard],
+                 batch[lane].file_offset,
+                 kRecordHeaderLen + batch[lane].data.size());
     }
-    // Release the pins before the next refill so chunked fallback arenas
-    // recycle (no-op in the zero-copy common case).
+    index += n;
+    // Release the pins before the next refill so chunked-reader arenas
+    // recycle (no-op when the capture is mmap'd).
+    decoded.clear();
     for (std::size_t i = 0; i < n; ++i) batch[i].arena.reset();
   }
 

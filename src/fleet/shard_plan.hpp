@@ -10,11 +10,11 @@
 // `conn_key_hash(make_conn_key(pkt)) % shards`, undecodable records to
 // shard 0 — so every packet of a connection lands with one worker and the
 // merged worker archives reproduce the whole-run archive byte for byte.
-// The sweep reads the capture through the same PcapStream machinery as a
-// real run (same resync, same error budget), and keeps the resulting
-// IngestDiagnostics in the plan: workers only ever see clean planned
-// records, so the coordinator injects the plan-time diagnostics into the
-// merged archive to keep damaged captures byte-identical too.
+// The sweep opens the capture through PcapStream::open_auto like a real run
+// (same mmap-or-read choice, same resync, same error budget), and keeps the
+// resulting IngestDiagnostics in the plan: workers only ever see clean
+// planned records, so the coordinator injects the plan-time diagnostics into
+// the merged archive to keep damaged captures byte-identical too.
 #pragma once
 
 #include <cstdint>

@@ -124,7 +124,6 @@ bool serve_assignment(int fd, std::mutex& write_mu,
   AnalyzerOptions opts;
   opts.location = static_cast<SnifferLocation>(assign.location);
   opts.jobs = assign.jobs == 0 ? 1 : assign.jobs;
-  opts.verify_checksums = assign.verify_checksums != 0;
   opts.passes.bits = assign.pass_bits;
 
   const auto started = std::chrono::steady_clock::now();

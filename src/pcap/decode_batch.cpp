@@ -147,6 +147,8 @@ std::size_t decode_records(std::span<const StreamRecord> records,
 
     pkt.payload_offset = kEth + ihl + doff;
     pkt.payload_len = tcp_total - doff;
+    pkt.rec_offset = rec.file_offset;
+    pkt.rec_len = static_cast<std::uint32_t>(kRecordHeaderLen + frame.size());
     if (rec.arena) {
       pkt.frame = frame;
       pkt.backing = rec.arena;

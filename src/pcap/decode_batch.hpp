@@ -11,11 +11,13 @@
 // else falls through to the exact option walk decode_frame uses.
 //
 // Contract: for every record, the emitted packet (or the decision to skip
-// it) is bit-identical to PcapStreamSource::next's per-record logic —
-// including the truncated-capture skip (data shorter than orig_len), the
-// checksum-verification rejects, and the copy-when-unpinned backing rule.
-// decode_batch_differential_test holds the two paths equal on adversarial
-// corpora.
+// it) is bit-identical to decode_frame (pcap/decode.hpp) applied to the
+// record with the record's arena as keepalive, after skipping truncated
+// captures (data shorter than orig_len) — checksum-verification rejects and
+// the copy-when-unpinned backing rule included. decode_batch_test holds the
+// two equal on adversarial corpora. On top of decode_frame's fields, every
+// packet carries its record's capture position: rec_offset = the record's
+// file_offset, rec_len = 16 + its stored bytes.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +55,7 @@ struct DecodeScratch {
 // start_index + i — appending the packets that decode to `out` in lane
 // order. Returns the number of lanes consumed (so the caller advances its
 // record cursor and index base by exactly that). Records that fail to decode
-// consume their lane and index but emit nothing, matching the scalar path.
+// consume their lane and index but emit nothing, matching decode_frame.
 std::size_t decode_records(std::span<const StreamRecord> records,
                            std::size_t start_index, bool verify_checksums,
                            DecodeScratch& scratch,

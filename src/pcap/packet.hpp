@@ -73,9 +73,10 @@ struct DecodedPacket {
   std::size_t payload_offset = 0;       // offset of the TCP payload in `frame`
   std::size_t payload_len = 0;
   // Capture-file position of the record this packet came from (header offset
-  // and total on-disk length, record header included). Zero/zero when the
-  // source has no file behind it (in-memory feeds); the live engine uses
-  // these to checkpoint retained packets as offset runs instead of bytes.
+  // and total on-disk length, record header included), stamped by
+  // decode_records from StreamRecord::file_offset; zero/zero from
+  // decode_frame. The live engine uses these to checkpoint retained packets
+  // as offset runs instead of bytes.
   std::uint64_t rec_offset = 0;
   std::uint32_t rec_len = 0;
 

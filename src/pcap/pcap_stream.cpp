@@ -20,7 +20,6 @@ constexpr std::uint32_t kMagicNanosLE = 0xa1b23c4d;
 constexpr std::uint32_t kMagicNanosBE = 0x4d3cb2a1;
 constexpr std::uint32_t kLinkTypeEthernet = 1;
 constexpr std::size_t kGlobalHeaderLen = 24;
-constexpr std::size_t kRecordHeaderLen = 16;
 
 // Resync plausibility window around the last good timestamp: captures can
 // step backwards a little (multi-queue NICs reorder slightly) but a record

@@ -44,6 +44,9 @@ namespace tdat {
 class Counter;
 class LatencyHistogram;
 
+// Size of the header in front of every record's stored bytes.
+inline constexpr std::size_t kRecordHeaderLen = 16;
+
 // A raw captured record viewed in place. Valid while `arena` (or any other
 // copy of it) is held; copying the struct is two words plus a refcount bump.
 struct StreamRecord {

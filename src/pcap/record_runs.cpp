@@ -13,7 +13,6 @@ constexpr std::uint32_t kMagicMicrosBE = 0xd4c3b2a1;
 constexpr std::uint32_t kMagicNanosBE = 0x4d3cb2a1;
 
 constexpr std::size_t kGlobalHeaderLen = 24;
-constexpr std::size_t kRecordHeaderLen = 16;
 
 std::uint32_t read_u32(const std::uint8_t* p, bool swapped) {
   return swapped ? static_cast<std::uint32_t>(p[0]) << 24 |

@@ -20,6 +20,12 @@ std::size_t default_jobs() {
   return hw > 0 ? hw : 1;
 }
 
+std::size_t effective_jobs(std::size_t requested, std::size_t tasks) {
+  std::size_t jobs = requested == 0 ? default_jobs() : requested;
+  if (tasks > 0 && jobs > tasks) jobs = tasks;
+  return jobs > 0 ? jobs : 1;
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = 1;
   tasks_total_ = &metrics().counter("pool.tasks");

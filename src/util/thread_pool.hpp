@@ -28,6 +28,11 @@ class LatencyHistogram;
 // std::thread::hardware_concurrency().
 [[nodiscard]] std::size_t default_jobs();
 
+// Workers for a fan-out over `tasks` items: `requested` resolved as above,
+// then clamped to the task count (never below 1).
+[[nodiscard]] std::size_t effective_jobs(std::size_t requested,
+                                         std::size_t tasks);
+
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t threads);

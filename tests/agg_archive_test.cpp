@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agg/archive.hpp"
@@ -139,6 +140,26 @@ TEST(ArchiveFormat, RejectsBadMagicNewerVersionTruncationAndTrailingBytes) {
 
   std::string trailing = bytes + "junk";
   EXPECT_FALSE(parse_archive(as_bytes(trailing)).ok());
+}
+
+TEST(ArchiveFormat, RejectsRowsAndSketchKeysOutOfCanonicalOrder) {
+  // Merge folds sorted inputs linearly, so a well-formed image whose rows or
+  // sketch groups are out of canonical order must not parse.
+  Archive swapped = sample_archive();
+  ASSERT_LT(swapped.connections[0], swapped.connections[1]);
+  std::swap(swapped.connections[0], swapped.connections[1]);
+  const auto rows = parse_archive(as_bytes(swapped.serialize()));
+  ASSERT_FALSE(rows.ok());
+  EXPECT_NE(rows.error().find("order"), std::string::npos);
+
+  Archive duplicate_key = sample_archive();
+  ASSERT_EQ(duplicate_key.sketches.size(), 2u);
+  duplicate_key.sketches[1].key = duplicate_key.sketches[0].key;
+  EXPECT_FALSE(parse_archive(as_bytes(duplicate_key.serialize())).ok());
+
+  Archive reversed = sample_archive();
+  std::swap(reversed.sketches[0], reversed.sketches[1]);
+  EXPECT_FALSE(parse_archive(as_bytes(reversed.serialize())).ok());
 }
 
 TEST(ArchiveFormat, RejectsStringLengthBeyondPayload) {

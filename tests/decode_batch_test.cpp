@@ -2,9 +2,9 @@
 // over clean records, systematically mutated headers, truncations, and
 // pseudo-random garbage, decode_records must make the same accept/reject
 // decision as the scalar path for every record and produce field-identical
-// packets for every accept — with and without checksum verification. The
-// batch decoder has no semantics of its own; this test is what pins it to
-// decode_frame.
+// packets for every accept — with and without checksum verification — each
+// stamped with its record's capture position. The batch decoder has no
+// semantics of its own; this test is what pins it to decode_frame.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -63,7 +63,7 @@ std::string packet_fingerprint(const DecodedPacket& p) {
   return out;
 }
 
-// The scalar reference: PcapStreamSource::next's per-record decision chain.
+// The scalar reference: decode_frame per record, truncated captures skipped.
 std::vector<std::string> scalar_decode(const std::vector<StreamRecord>& recs,
                                        bool verify) {
   std::vector<std::string> out;
@@ -88,7 +88,12 @@ std::vector<std::string> batch_decode_all(const std::vector<StreamRecord>& recs,
   }
   std::vector<std::string> out;
   out.reserve(pkts.size());
-  for (const DecodedPacket& p : pkts) out.push_back(packet_fingerprint(p));
+  for (const DecodedPacket& p : pkts) {
+    // Beyond decode_frame's fields: the position of the record it came from.
+    EXPECT_EQ(p.rec_offset, recs[p.index].file_offset);
+    EXPECT_EQ(p.rec_len, 16 + recs[p.index].data.size());
+    out.push_back(packet_fingerprint(p));
+  }
   return out;
 }
 
@@ -99,6 +104,16 @@ void expect_equivalent(const std::vector<StreamRecord>& recs) {
   }
 }
 
+// Gives each record the file offset it has in a capture of exactly these
+// records: 24-byte global header, then 16-byte header + data per record.
+void assign_file_offsets(std::vector<StreamRecord>& recs) {
+  std::uint64_t offset = 24;
+  for (StreamRecord& r : recs) {
+    r.file_offset = offset;
+    offset += 16 + r.data.size();
+  }
+}
+
 std::vector<StreamRecord> as_records(const PcapFile& file) {
   std::vector<StreamRecord> recs;
   recs.reserve(file.records.size());
@@ -106,6 +121,7 @@ std::vector<StreamRecord> as_records(const PcapFile& file) {
     recs.push_back({r.ts, r.orig_len, std::span<const std::uint8_t>(r.data),
                     nullptr});
   }
+  assign_file_offsets(recs);
   return recs;
 }
 
@@ -178,6 +194,7 @@ TEST(DecodeBatch, GarbageFramesMatchScalarDecode) {
     recs.push_back({static_cast<Micros>(i), static_cast<std::uint32_t>(frames[i].size()),
                     std::span<const std::uint8_t>(frames[i]), nullptr});
   }
+  assign_file_offsets(recs);
   expect_equivalent(recs);
 }
 

@@ -8,8 +8,9 @@
 # for every worker count — including with a worker deliberately killed
 # mid-fleet (reassignment) and on a deliberately corrupted capture (the
 # plan-sweep diagnostics injection) — and the fleet must never write a
-# shard pcap to disk. Also pins `tdat shard --plan` JSON output and the
-# `analyze --fleet N` sugar.
+# shard pcap to disk. Also pins `tdat shard --plan` JSON output, the
+# `analyze --fleet N` sugar, and that `--output` replaces the archive
+# atomically (a failed write leaves the previous file intact).
 #
 # Usage: fleet_equivalence_test.sh <path-to-tdat>
 set -u
@@ -80,6 +81,21 @@ fleet_rc=$?
   || fail "corrupt capture: whole rc=$whole_rc but fleet rc=$fleet_rc"
 cmp -s "$TMP/cfleet.tdagg" "$TMP/cwhole.tdagg" \
   || fail "corrupt capture: fleet archive differs from the whole-run archive"
+
+# --- --output: atomic replace, never a torn archive -------------------------
+"$TDAT" fleet "$TMP/base.pcap" --workers 2 --quiet-stats \
+  --output "$TMP/out.tdagg" >/dev/null || fail "fleet --output exited non-zero"
+cmp -s "$TMP/out.tdagg" "$TMP/whole.tdagg" \
+  || fail "fleet --output differs from the whole-run archive"
+# A failed write (injected ENOSPC-style failure of the first atomic write)
+# must exit 1 and leave the previous archive at the path byte-identical.
+cp "$TMP/cwhole.tdagg" "$TMP/prev.tdagg"
+TDAT_ATOMIC_WRITE_FAIL=1 "$TDAT" fleet "$TMP/base.pcap" --workers 2 \
+  --quiet-stats --output "$TMP/prev.tdagg" >/dev/null 2>&1
+rc=$?
+[ "$rc" -eq 1 ] || fail "fleet --output with a failed write exited $rc, want 1"
+cmp -s "$TMP/prev.tdagg" "$TMP/cwhole.tdagg" \
+  || fail "a failed fleet --output write changed the previous archive"
 
 # --- remote worker reconnect: listener appears late, bytes unchanged --------
 # The worker dials before any coordinator is listening (exactly what a killed

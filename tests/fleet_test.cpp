@@ -325,8 +325,8 @@ TEST(OffsetRunSource, StalePlanFailsInsteadOfSilentlyDroppingRecords) {
   std::vector<RecordRun> runs = {{1ull << 40, 5}};
   auto source = OffsetRunSource::open(path, runs, false);
   ASSERT_TRUE(source.ok()) << source.error();
-  DecodedPacket pkt;
-  while (source.value().next(pkt)) {
+  std::vector<StreamRecord> recs(8);
+  while (source.value().next_raw_records(recs) > 0) {
   }
   EXPECT_TRUE(source.value().failed());
   EXPECT_NE(source.value().error().find("outside the capture"),

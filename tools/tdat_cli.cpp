@@ -438,21 +438,12 @@ int run_fleet_and_emit(const std::string& capture,
     std::fprintf(stderr, "%s: %s\n", tool, outcome.error().c_str());
     return 3;
   }
-  const std::string bytes = outcome.value().archive.serialize();
   if (output.empty()) {
+    const std::string bytes = outcome.value().archive.serialize();
     std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-  } else {
-    std::FILE* f = std::fopen(output.c_str(), "wb");
-    const bool wrote =
-        f != nullptr && std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    if (f != nullptr && std::fclose(f) != 0) {
-      std::fprintf(stderr, "%s: cannot write %s\n", tool, output.c_str());
-      return 1;
-    }
-    if (!wrote) {
-      std::fprintf(stderr, "%s: cannot write %s\n", tool, output.c_str());
-      return 1;
-    }
+  } else if (!agg::write_archive_file(output, outcome.value().archive)) {
+    std::fprintf(stderr, "%s: cannot write %s\n", tool, output.c_str());
+    return 1;
   }
   if (show_stats) print_fleet_stats(outcome.value().stats);
   return outcome.value().archive.ingest.has_errors() ||
@@ -1397,17 +1388,7 @@ std::optional<PcapStream::Resume> try_restore(
   if (auto id = validate_capture_identity(out.capture, cmd.input); !id.ok()) {
     return fallback(id.error());
   }
-  LiveCheckpoint echo;
-  echo.config.location = static_cast<std::uint8_t>(lopts.analyzer.location);
-  echo.config.verify_checksums = lopts.analyzer.verify_checksums;
-  echo.config.strict = lopts.analyzer.ingest.strict;
-  echo.config.enable_ack_shift = lopts.analyzer.enable_ack_shift;
-  echo.config.pass_bits = lopts.analyzer.passes.bits;
-  echo.config.max_errors =
-      static_cast<std::uint64_t>(lopts.analyzer.ingest.max_errors);
-  echo.config.window = lopts.window;
-  echo.config.idle_gc = lopts.idle_gc;
-  if (!(echo.config == out.config)) {
+  if (checkpoint_config(lopts) != out.config) {
     return fallback("engine configuration changed since the checkpoint");
   }
   PcapStream::Resume resume;
